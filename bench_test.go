@@ -11,6 +11,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -269,6 +270,41 @@ func BenchmarkEndToEndSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSelectParallel measures uncached selection under concurrent
+// callers: each iteration ranks one of a few hundred distinct queries
+// over the TestScale Web testbed with both cache tiers off. Selection
+// reads one immutable serving state and takes no lock, so ns/op should
+// fall as -cpu grows.
+func BenchmarkSelectParallel(b *testing.B) {
+	shards, lexicon := testbedShards(b, 40)
+	opts := testbedOptions(lexicon)
+	opts.Cache.Disable = true
+	m := New(opts)
+	var queries []string
+	for _, s := range shards {
+		if err := m.AddDatabase(NewLocalDatabaseFromTerms(s.name, s.docs), s.category); err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range s.docs[:8] {
+			queries = append(queries, d[0]+" "+d[len(d)-1])
+		}
+	}
+	if err := m.BuildSummaries(); err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			q := queries[int(next.Add(1))%len(queries)]
+			if _, err := m.Select(q, 5); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkSearchCached contrasts the query-cache hit path with the

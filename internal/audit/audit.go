@@ -114,6 +114,9 @@ type QueryRecord struct {
 	// MaxDBs and PerDB are the request's fan-out parameters.
 	MaxDBs int `json:"max_dbs"`
 	PerDB  int `json:"per_db"`
+	// Generation identifies the summary state that answered the query
+	// (repro.SearchResponse.Generation).
+	Generation uint64 `json:"generation"`
 	// Candidates is the per-database selection evidence, in
 	// registration order.
 	Candidates []Candidate `json:"candidates,omitempty"`

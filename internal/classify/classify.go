@@ -19,6 +19,7 @@ package classify
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/hierarchy"
@@ -75,6 +76,12 @@ func (ts *TrainingSet) Add(label hierarchy.NodeID, doc []string) {
 
 // Len returns the number of training documents.
 func (ts *TrainingSet) Len() int { return len(ts.docs) }
+
+// Clone returns a copy that Add can extend without touching ts (the
+// documents themselves are never modified, so they are shared).
+func (ts *TrainingSet) Clone() *TrainingSet {
+	return &TrainingSet{docs: slices.Clip(ts.docs), labels: slices.Clip(ts.labels)}
+}
 
 // TopWords returns the n most document-frequent words across the
 // training set, ties broken alphabetically. Metasearchers use these to

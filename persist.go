@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
-	"repro/internal/hierarchy"
 	"repro/internal/summary"
 )
 
@@ -74,13 +73,12 @@ type persistLambda struct {
 
 // Save writes the built summaries. BuildSummaries must have succeeded.
 func (m *Metasearcher) Save(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.built {
+	st := m.state.Load()
+	if !st.built() {
 		return errors.New("repro: nothing to save; run BuildSummaries first")
 	}
-	env := persistEnvelope{Version: persistVersion, Training: m.training.Len()}
-	for _, r := range m.dbs {
+	env := persistEnvelope{Version: persistVersion, Training: st.training.Len()}
+	for _, r := range st.dbs {
 		var buf bytes.Buffer
 		if err := r.unshrunk.Encode(&buf); err != nil {
 			return fmt.Errorf("repro: encoding %s: %w", r.name, err)
@@ -206,19 +204,6 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 			return fmt.Errorf("repro: load: checksum mismatch (file says %s, content is %s) — save file is corrupted or was torn mid-write", env.Checksum, sum)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	// Databases already registered with live handles keep them when the
-	// loaded state names them: a deployment can dial its remote nodes,
-	// then Load offline-built summaries, and Search immediately.
-	handles := make(map[string]SearchableDatabase, len(m.dbs))
-	for _, r := range m.dbs {
-		if r.db != nil {
-			handles[r.name] = r.db
-		}
-	}
-
 	dbs := make([]*registeredDB, 0, len(env.Databases))
 	seen := make(map[string]bool, len(env.Databases))
 	for _, pd := range env.Databases {
@@ -236,7 +221,6 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		}
 		rdb := &registeredDB{
 			name:      pd.Name,
-			db:        handles[pd.Name],
 			category:  cat,
 			fixedCat:  true,
 			assigned:  cat,
@@ -270,8 +254,6 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		for _, r := range dbs {
 			if keep(r.name) {
 				scope[r.name] = true
-			} else {
-				r.db = nil
 			}
 		}
 		if len(scope) == 0 {
@@ -279,21 +261,18 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		}
 	}
 
-	classified := make([]core.Classified, len(dbs))
-	for i, r := range dbs {
-		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
-	}
-	cats := core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, r := range dbs {
-		r.shrunk = core.Shrink(cats, classified[i], core.ShrinkOptions{Metrics: m.reg})
-	}
-	m.dbs = dbs
-	m.cats = cats
-	m.global = cats.Summary(hierarchy.Root)
-	m.scope = scope
-	m.built = true
-	// The summaries every cached selection was computed from are gone;
-	// stale entries must not outlive them.
-	m.InvalidateCaches()
-	return nil
+	return m.update(func(next *servingState) error {
+		// Databases already registered with live handles keep them when
+		// the loaded state names them: a deployment can dial its remote
+		// nodes, then Load offline-built summaries, and Search
+		// immediately. The records are still private to this load.
+		for _, r := range dbs {
+			if _, old := next.find(r.name); old != nil && (scope == nil || scope[r.name]) {
+				r.db = old.db
+			}
+		}
+		next.dbs, next.scope = dbs, scope
+		m.derive(next, nil)
+		return nil
+	})
 }

@@ -26,12 +26,16 @@ func (m *Metasearcher) scorerKey() string {
 	}
 }
 
-// selectionKey builds the selection-tier cache key from the analyzed
-// (stemmed, stopped) terms, the scorer, and k. The summaries generation
-// is not part of the key: the cache's generation counter carries it.
-func selectionKey(terms []string, scorer string, k int) string {
+// selectionKey builds the selection-tier cache key from the state
+// generation, the analyzed (stemmed, stopped) terms, the scorer, and k.
+// The generation pins an entry to the state that computed it: a query
+// that loaded an older state can never store its answer where a query
+// on a newer state will find it.
+func selectionKey(gen uint64, terms []string, scorer string, k int) string {
 	var sb strings.Builder
-	sb.WriteString("k=")
+	sb.WriteString("g=")
+	sb.WriteString(strconv.FormatUint(gen, 10))
+	sb.WriteString(";k=")
 	sb.WriteString(strconv.Itoa(k))
 	sb.WriteString(";s=")
 	sb.WriteString(scorer)
@@ -58,26 +62,22 @@ type selEntry struct {
 	explain *selectionExplain
 }
 
-// selectCached is the selection step through the selection cache:
+// selectCached is the selection step over st through the selection cache:
 // a hit skips the entire adaptive-selection path (scoring every
 // candidate plus the per-database Monte-Carlo uncertainty estimate); a
 // miss runs selectExplained once, with concurrent identical misses
 // collapsed onto that one run. The returned slices are shared with the
 // cache and must not be modified.
-func (m *Metasearcher) selectCached(ctx context.Context, parent *telemetry.Span, query string, k int) (sels []Selection, ex *selectionExplain, hit bool, err error) {
-	if m.selCache == nil {
-		sels, ex, err = m.selectExplained(parent, query, k)
+func (m *Metasearcher) selectCached(ctx context.Context, st *servingState, parent *telemetry.Span, terms []string, k int) (sels []Selection, ex *selectionExplain, hit bool, err error) {
+	if m.selCache == nil || len(terms) == 0 {
+		// Uncached, or not cacheable: selectExplained produces the
+		// canonical error for a termless query.
+		sels, ex, err = m.selectExplained(st, parent, terms, k)
 		return sels, ex, false, err
 	}
-	terms := m.analyze(query)
-	if len(terms) == 0 {
-		// Not cacheable; selectExplained produces the canonical error.
-		sels, ex, err = m.selectExplained(parent, query, k)
-		return sels, ex, false, err
-	}
-	key := selectionKey(terms, m.scorerKey(), k)
+	key := selectionKey(st.gen, terms, m.scorerKey(), k)
 	v, hit, _, err := m.selCache.Do(ctx, key, func() (interface{}, error) {
-		s, e, err := m.selectExplained(parent, query, k)
+		s, e, err := m.selectExplained(st, parent, terms, k)
 		if err != nil {
 			return nil, err
 		}

@@ -2,16 +2,14 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/freqest"
-	"repro/internal/hierarchy"
 	"repro/internal/sampling"
 	"repro/internal/summary"
 	"repro/internal/telemetry"
@@ -22,8 +20,8 @@ import (
 // summary-refresh manager (internal/refresh) uses to keep content
 // summaries tracking the live collections. The split of labor: the
 // manager owns scheduling, drift decisions, and observability; the
-// metasearcher owns sampling and the atomic swap, because only it knows
-// the build pipeline and holds the lock the serving path reads under.
+// metasearcher owns sampling and the swap, because only it knows the
+// build pipeline and publishes the serving state queries read.
 
 // RefreshableDatabases lists the databases the refresh manager may
 // re-sample: those with a live connection, within this process's search
@@ -31,14 +29,13 @@ import (
 // shard's nodes would fork the collection-wide statistics the cluster
 // merge identity rests on), sorted by name.
 func (m *Metasearcher) RefreshableDatabases() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	st := m.state.Load()
 	var out []string
-	for _, r := range m.dbs {
+	for _, r := range st.dbs {
 		if r.db == nil {
 			continue
 		}
-		if m.scope != nil && !m.scope[r.name] {
+		if st.scope != nil && !st.scope[r.name] {
 			continue
 		}
 		out = append(out, r.name)
@@ -48,12 +45,9 @@ func (m *Metasearcher) RefreshableDatabases() []string {
 }
 
 // StoredSummary returns a database's current unshrunk content summary.
-// Summaries are immutable once built (a rebuild swaps in a new one), so
-// the returned pointer is safe to read without the metasearcher's lock.
+// Summaries are immutable once built (a rebuild publishes a new one).
 func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.findLocked(name)
+	_, r := m.state.Load().find(name)
 	if r == nil {
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
@@ -70,16 +64,12 @@ func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
 // pipeline's seed, so the resample is an independent draw from the
 // node's contents while staying deterministic run to run.
 func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs int) (*summary.Summary, error) {
-	m.mu.Lock()
-	r := m.findLocked(name)
+	st := m.state.Load()
+	_, r := st.find(name)
 	if r == nil {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
-	db := r.db
-	lexicon := m.refreshLexiconLocked()
-	m.mu.Unlock()
-	if db == nil {
+	if r.db == nil {
 		return nil, fmt.Errorf("repro: database %q has no live connection", name)
 	}
 	if docs <= 0 {
@@ -90,9 +80,9 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 		telemetry.String("db", name), telemetry.Int("docs", docs))
 	defer span.End()
 	sctx := telemetry.ContextWithSpan(ctx, span)
-	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: db, ctx: sctx}, sampling.QBSConfig{
+	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: r.db, ctx: sctx}, sampling.QBSConfig{
 		TargetDocs:  docs,
-		SeedLexicon: lexicon,
+		SeedLexicon: st.lexicon,
 		Seed:        refreshSeed(m.opts.Seed, name),
 		Span:        span,
 		Metrics:     m.reg,
@@ -103,38 +93,27 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 	return summary.FromSample(sample.Docs), nil
 }
 
-// RebuildSummary re-samples one database at full build size and swaps
-// the result into the serving state: the node's unshrunk summary is
-// replaced, the category summaries it feeds are recomputed, every
-// database is re-shrunk against them (shrinkage ancestors share
-// statistics, so one node's drift moves its siblings' shrunk summaries
-// too), and both query-cache tiers are invalidated. Sampling — the slow,
-// latency-bound part — runs outside the metasearcher's lock, so queries
-// keep serving from the old state until the swap; the swap itself holds
-// the lock exactly as BuildSummaries does, which is what makes it atomic
-// under traffic. The database keeps its assigned category: contents
-// drift, classification is re-probed only by a full offline rebuild.
+// RebuildSummary re-samples one database at full build size and
+// publishes a new serving state around the result: the node's unshrunk
+// summary is replaced, the category summaries it feeds are recomputed,
+// and every database is re-shrunk against them (shrinkage ancestors
+// share statistics, so one node's drift moves its siblings' shrunk
+// summaries too). Sampling — the slow, latency-bound part — runs before
+// the writers' lock is taken, and no step blocks a query: queries keep
+// reading the old state until the new one is published with one atomic
+// store, which also stales both query-cache tiers. The database keeps
+// its assigned category: contents drift, classification is re-probed
+// only by a full offline rebuild.
 func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
-	m.mu.Lock()
-	if !m.built {
-		m.mu.Unlock()
-		return errors.New("repro: BuildSummaries has not been run")
+	st := m.state.Load()
+	if !st.built() {
+		return errNotBuilt
 	}
-	var idx int
-	r := m.findLocked(name)
-	for i, d := range m.dbs {
-		if d.name == name {
-			idx = i
-		}
-	}
+	idx, r := st.find(name)
 	if r == nil {
-		m.mu.Unlock()
 		return fmt.Errorf("repro: unknown database %q", name)
 	}
-	db := r.db
-	lexicon := m.refreshLexiconLocked()
-	m.mu.Unlock()
-	if db == nil {
+	if r.db == nil {
 		return fmt.Errorf("repro: database %q has no live connection", name)
 	}
 
@@ -142,9 +121,9 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 	span := m.tracer.Span("refresh.rebuild", telemetry.String("db", name))
 	defer span.End()
 	sctx := telemetry.ContextWithSpan(ctx, span)
-	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: db, ctx: sctx}, sampling.QBSConfig{
+	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: r.db, ctx: sctx}, sampling.QBSConfig{
 		TargetDocs:  m.opts.SampleSize,
-		SeedLexicon: lexicon,
+		SeedLexicon: st.lexicon,
 		Seed:        refreshSeed(m.opts.Seed+int64(idx), name),
 		Span:        span,
 		Metrics:     m.reg,
@@ -164,65 +143,35 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 	}
 	gamma := zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
 
-	// The swap: recompute everything derived from the summary set under
-	// the lock, then stale both cache tiers so no query serves a ranking
-	// mixing old and new statistics.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r = m.findLocked(name)
-	if r == nil {
-		return fmt.Errorf("repro: database %q disappeared during rebuild", name)
-	}
-	r.unshrunk = unshrunk
-	r.sampleLen = raw.SampleSize
-	r.sizeEst = size
-	r.gamma = gamma
-	if r.prov == nil {
-		r.prov = &BuildTelemetry{}
-	}
-	r.prov.SampleQueries = sample.Queries
-	if strings.EqualFold(m.opts.Scorer, "redde") {
-		r.sampleDocs = sample.Docs
-	}
-	classified := make([]core.Classified, len(m.dbs))
-	for i, d := range m.dbs {
-		classified[i] = core.Classified{Name: d.name, Category: d.assigned, Sum: d.unshrunk}
-	}
-	m.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, d := range m.dbs {
-		d.shrunk = core.Shrink(m.cats, classified[i], core.ShrinkOptions{Metrics: m.reg})
-		if d.prov != nil {
-			d.prov.EMIterations = d.shrunk.EMIterations()
-			d.prov.Lambdas = d.shrunk.Lambdas()
+	err = m.update(func(next *servingState) error {
+		i, cur := next.find(name)
+		if cur == nil {
+			return fmt.Errorf("repro: database %q disappeared during rebuild", name)
 		}
+		if !next.built() {
+			return errNotBuilt
+		}
+		c := *cur
+		c.unshrunk = unshrunk
+		c.sampleLen = raw.SampleSize
+		c.sizeEst = size
+		c.gamma = gamma
+		c.prov = &BuildTelemetry{SampleQueries: sample.Queries}
+		if strings.EqualFold(m.opts.Scorer, "redde") {
+			c.sampleDocs = sample.Docs
+		}
+		next.dbs = slices.Clone(next.dbs)
+		next.dbs[i] = &c
+		m.derive(next, nil)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	m.global = m.cats.Summary(hierarchy.Root)
-	m.InvalidateCaches()
 	m.logInfo("summary rebuilt after drift",
 		"db", name, "docs", len(sample.Docs), "vocab", raw.Len(),
 		"elapsed", time.Since(t0))
 	return nil
-}
-
-// findLocked returns the registered database by name; m.mu must be
-// held.
-func (m *Metasearcher) findLocked(name string) *registeredDB {
-	for _, r := range m.dbs {
-		if r.name == name {
-			return r
-		}
-	}
-	return nil
-}
-
-// refreshLexiconLocked resolves the QBS bootstrap lexicon exactly as
-// BuildSummariesContext does; m.mu must be held.
-func (m *Metasearcher) refreshLexiconLocked() []string {
-	if m.opts.SeedLexicon != nil {
-		return m.opts.SeedLexicon
-	}
-	lexicon := defaultLexicon()
-	return append(lexicon, m.training.TopWords(300)...)
 }
 
 // refreshSeed derives a refresh sampler's seed: the configured base

@@ -186,12 +186,6 @@ func (d *ReplicatedDatabase) NumDocs() int { return d.numDocs }
 // Replicas returns the current replica count.
 func (d *ReplicatedDatabase) Replicas() int { return len(d.set.Load().replicas) }
 
-// ReplicaAddrs returns the current replica addresses, in routing-table
-// order.
-func (d *ReplicatedDatabase) ReplicaAddrs() []string {
-	return append([]string(nil), d.set.Load().addrs...)
-}
-
 // Preferred returns this process's current affinity replica index.
 func (d *ReplicatedDatabase) Preferred() int { return d.set.Load().preferred }
 

@@ -30,9 +30,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -152,10 +153,10 @@ type Options struct {
 //
 // The selection tier caches the expensive adaptive-selection decision
 // (per-database Monte-Carlo sampling over the score posterior), keyed
-// by the analyzed query terms, the scorer, and k. Selection depends
-// only on those inputs and the current summaries, so entries stay valid
-// until the summaries change — Save, Load, and BuildSummaries bump the
-// cache generation, staling every entry at once.
+// by the serving-state generation, the analyzed query terms, the
+// scorer, and k. Selection depends only on those inputs, so entries stay
+// valid until the summaries change — every state change publishes a new
+// generation, staling every entry at once.
 //
 // The result tier additionally caches the merged document ranking,
 // keyed by the selection key plus perDB. Results also depend on the
@@ -273,14 +274,17 @@ type Selection struct {
 	Shrinkage bool
 }
 
-// Metasearcher is the end-to-end system of the paper. Methods are safe
-// for concurrent use after BuildSummaries has returned.
+// Metasearcher is the end-to-end system of the paper. All methods are
+// safe for concurrent use. Queries never lock: each one loads the
+// published servingState once and reads only that, while writers (Train,
+// AddDatabase, BuildSummaries, Load, RebuildSummary,
+// ApplyReplicaAssignments) build a successor and publish it atomically.
 type Metasearcher struct {
 	opts     Options
 	tree     *hierarchy.Tree
 	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
-	logger   *slog.Logger    // nil = logging disabled
+	logger   *slog.Logger       // nil = logging disabled
 	audit    *audit.Log         // nil = query auditing disabled
 	breakers *resilience.Set    // nil = breakers disabled
 	budget   *resilience.Budget // nil = retry/hedge budget disabled
@@ -290,22 +294,101 @@ type Metasearcher struct {
 	proberMu sync.Mutex
 	prober   *resilience.Prober // live health prober; retargeted on topology swaps
 
-	mu       sync.Mutex
+	state atomic.Pointer[servingState] // the published state; see update
+	wmu   sync.Mutex                   // serializes writers; no read path takes it
+}
+
+// servingState is one whole summary state: everything a query reads,
+// from selection through fan-out. Shrinkage fits every database's
+// summary against category summaries all databases share, so the state
+// only makes sense as one value. It is never mutated once published.
+type servingState struct {
+	gen      uint64 // bumped by every publish; part of every cache key
 	training *classify.TrainingSet
+	lexicon  []string // QBS bootstrap words, derived from training
 	dbs      []*registeredDB
 	// scope, when non-nil, is the set of database names this process
 	// actually queries during Search (a cluster shard's slice). Every
 	// database still participates in selection — the shrinkage and
 	// scoring statistics are collection-wide — but out-of-scope fan-out
 	// is skipped. Nil means unscoped (query everything). Set by
-	// LoadFiltered.
+	// LoadFiltered and ApplyReplicaAssignments.
 	scope map[string]bool
+	// global is the root category summary every selection context is
+	// built on (set by derive; nil until the summaries are built).
+	global *summary.Summary
+}
 
-	// built state
-	classifier *classify.Classifier
-	cats       *core.CategorySummaries
-	global     *summary.Summary
-	built      bool
+var errNotBuilt = errors.New("repro: BuildSummaries has not been run")
+
+func (st *servingState) built() bool { return st.global != nil }
+
+// find returns the registered database by name and its index, or nil.
+func (st *servingState) find(name string) (int, *registeredDB) {
+	for i, r := range st.dbs {
+		if r.name == name {
+			return i, r
+		}
+	}
+	return -1, nil
+}
+
+// update is the one write path. Under the writers' lock, fn edits a
+// copy of the current state; unless it fails, the copy is published
+// under the next generation with one atomic store. fn must replace —
+// never mutate — the slices, maps and registeredDBs the copy shares
+// with the published state. errUnchanged from fn publishes nothing.
+func (m *Metasearcher) update(fn func(next *servingState) error) error {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	next := *m.state.Load()
+	if err := fn(&next); err != nil {
+		if err == errUnchanged {
+			return nil
+		}
+		return err
+	}
+	next.gen++
+	m.state.Store(&next)
+	// The generation is in every cache key, so entries from older states
+	// are already unreachable; invalidating lets the tiers evict them.
+	m.selCache.Invalidate()
+	m.resCache.Invalidate()
+	return nil
+}
+
+var errUnchanged = errors.New("repro: state unchanged")
+
+// derive recomputes everything the summary set determines — the
+// category summaries over every database's assigned category, each
+// database's shrunk summary EM-fit against them (with its provenance),
+// and the root summary. It is the shared tail of BuildSummaries, Load
+// and RebuildSummary. The registeredDBs are replaced, never mutated.
+func (m *Metasearcher) derive(next *servingState, span *telemetry.Span) {
+	classified := make([]core.Classified, len(next.dbs))
+	for i, r := range next.dbs {
+		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
+	}
+	cats := core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
+	dbs := make([]*registeredDB, len(next.dbs))
+	for i, r := range next.dbs {
+		c := *r
+		shrinkSpan := span.Child("shrink", telemetry.String("db", r.name))
+		c.shrunk = core.Shrink(cats, classified[i], core.ShrinkOptions{
+			Span:    shrinkSpan,
+			Metrics: m.reg,
+		})
+		shrinkSpan.End(telemetry.Int("em_iterations", c.shrunk.EMIterations()))
+		if r.prov != nil {
+			prov := *r.prov
+			prov.EMIterations = c.shrunk.EMIterations()
+			prov.Lambdas = c.shrunk.Lambdas()
+			c.prov = &prov
+		}
+		dbs[i] = &c
+	}
+	next.dbs = dbs
+	next.global = cats.Summary(hierarchy.Root)
 }
 
 type registeredDB struct {
@@ -384,8 +467,9 @@ func New(opts Options) *Metasearcher {
 		audit:    alog,
 		breakers: breakers,
 		budget:   budget,
-		training: &classify.TrainingSet{},
 	}
+	training := &classify.TrainingSet{}
+	m.state.Store(&servingState{training: training, lexicon: m.lexicon(training)})
 	if !opts.Cache.Disable {
 		m.selCache = cache.New(cache.Options{
 			Name:     "selection_cache",
@@ -405,15 +489,14 @@ func New(opts Options) *Metasearcher {
 	return m
 }
 
-// InvalidateCaches bumps the query-cache generation, instantly staling
-// every cached selection and merged result. Save, Load, and
-// BuildSummaries call it automatically; operators may call it directly
-// (e.g. when remote database contents are known to have changed under
-// an unexpired result entry). O(1) and non-blocking; a no-op when
-// caching is disabled.
+// InvalidateCaches republishes the current summary state under a new
+// generation, so no cached selection or merged result is served again.
+// Every state change (BuildSummaries, Load, RebuildSummary, ...) and
+// Save do this automatically; operators may call it directly (e.g. when
+// remote database contents are known to have changed under an unexpired
+// result entry). Queries never wait for it.
 func (m *Metasearcher) InvalidateCaches() {
-	m.selCache.Invalidate()
-	m.resCache.Invalidate()
+	m.update(func(*servingState) error { return nil })
 }
 
 // Metrics returns the registry this metasearcher records pipeline
@@ -434,23 +517,6 @@ func (m *Metasearcher) Breakers() *resilience.Set { return m.breakers }
 // resilience.Budget method is nil-safe, so callers need no guard.
 func (m *Metasearcher) RetryBudget() *resilience.Budget { return m.budget }
 
-// SearchScope returns the database names this process queries during
-// Search (sorted), or nil when unscoped — i.e. when it is not a
-// cluster shard restricted by LoadFiltered.
-func (m *Metasearcher) SearchScope() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.scope == nil {
-		return nil
-	}
-	out := make([]string, 0, len(m.scope))
-	for name := range m.scope {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StartHealthProbes launches a background prober that pings the
 // /v1/health endpoint of every registered remote database whose breaker
 // is not closed, feeding results back into the breakers: an open
@@ -465,9 +531,7 @@ func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
 	if m.breakers == nil {
 		return func() {}
 	}
-	m.mu.Lock()
-	targets := m.probeTargetsLocked()
-	m.mu.Unlock()
+	targets := m.state.Load().probeTargets()
 	if len(targets) == 0 {
 		return func() {}
 	}
@@ -489,13 +553,12 @@ func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
 	}
 }
 
-// probeTargetsLocked derives the current probe-target list from the
-// registered databases (m.mu held). Called at prober start and again
-// after every topology swap, so swapped-in replicas are probed and
-// swapped-out ones are not.
-func (m *Metasearcher) probeTargetsLocked() []resilience.ProbeTarget {
+// probeTargets derives the probe-target list from the registered
+// databases. Called at prober start and again after every topology
+// swap, so swapped-in replicas are probed and swapped-out ones are not.
+func (st *servingState) probeTargets() []resilience.ProbeTarget {
 	var targets []resilience.ProbeTarget
-	for _, r := range m.dbs {
+	for _, r := range st.dbs {
 		switch db := r.db.(type) {
 		case *RemoteDatabase:
 			targets = append(targets, resilience.ProbeTarget{
@@ -522,10 +585,7 @@ func (m *Metasearcher) refreshProbeTargets() {
 	if p == nil {
 		return
 	}
-	m.mu.Lock()
-	targets := m.probeTargetsLocked()
-	m.mu.Unlock()
-	p.SetTargets(targets)
+	p.SetTargets(m.state.Load().probeTargets())
 }
 
 // hedgeThreshold resolves the hedge-latency threshold for one search:
@@ -679,13 +739,25 @@ func (m *Metasearcher) Train(category string, docs []string) error {
 	if !ok {
 		return fmt.Errorf("repro: unknown category %q", category)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, d := range docs {
-		m.training.Add(id, m.analyze(d))
+	return m.update(func(next *servingState) error {
+		ts := next.training.Clone()
+		for _, d := range docs {
+			ts.Add(id, m.analyze(d))
+		}
+		next.training, next.lexicon = ts, m.lexicon(ts)
+		next.global = nil // summaries must be rebuilt
+		return nil
+	})
+}
+
+// lexicon resolves the QBS bootstrap words: Options.SeedLexicon, or the
+// built-in common-English list plus the most frequent training-set
+// words, which provably occur in on-topic text.
+func (m *Metasearcher) lexicon(ts *classify.TrainingSet) []string {
+	if m.opts.SeedLexicon != nil {
+		return m.opts.SeedLexicon
 	}
-	m.built = false
-	return nil
+	return append(defaultLexicon(), ts.TopWords(300)...)
 }
 
 // AddDatabase registers a database. category may name a hierarchy node
@@ -702,16 +774,14 @@ func (m *Metasearcher) AddDatabase(db SearchableDatabase, category string) error
 		r.category = id
 		r.fixedCat = true
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, existing := range m.dbs {
-		if existing.name == db.Name() {
-			return fmt.Errorf("repro: database %q already registered", db.Name())
+	return m.update(func(next *servingState) error {
+		if _, existing := next.find(r.name); existing != nil {
+			return fmt.Errorf("repro: database %q already registered", r.name)
 		}
-	}
-	m.dbs = append(m.dbs, r)
-	m.built = false
-	return nil
+		next.dbs = append(slices.Clip(next.dbs), r)
+		next.global = nil // summaries must be rebuilt
+		return nil
+	})
 }
 
 // analyze runs the configured text pipeline.
@@ -746,55 +816,51 @@ func (m *Metasearcher) BuildSummaries() error {
 // implementing ContextSearchableDatabase have their in-flight remote
 // calls cancelled too.
 func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.dbs) == 0 {
+	return m.update(func(next *servingState) error {
+		return m.build(ctx, next)
+	})
+}
+
+// build is BuildSummariesContext's body, run on the writer's private
+// copy of the state.
+func (m *Metasearcher) build(ctx context.Context, next *servingState) error {
+	if len(next.dbs) == 0 {
 		return errors.New("repro: no databases registered")
 	}
 	t0 := time.Now()
-	buildSpan := m.tracer.Span("build", telemetry.Int("databases", len(m.dbs)))
+	buildSpan := m.tracer.Span("build", telemetry.Int("databases", len(next.dbs)))
 	defer buildSpan.End()
 	defer m.reg.Histogram("build_latency", nil).ObserveSince(t0)
 	m.reg.Counter("build_runs_total").Inc()
-	m.reg.Gauge("build_databases").Set(float64(len(m.dbs)))
+	m.reg.Gauge("build_databases").Set(float64(len(next.dbs)))
 
 	needProbing := false
-	for _, r := range m.dbs {
+	for _, r := range next.dbs {
 		if !r.fixedCat {
 			needProbing = true
 		}
 	}
 	useFPS := strings.EqualFold(m.opts.Sampler, "fps")
+	var classifier *classify.Classifier
 	if needProbing || useFPS {
-		if m.training.Len() == 0 {
+		if next.training.Len() == 0 {
 			return errors.New("repro: probe classification requires Train examples")
 		}
-		cls, err := classify.Train(m.tree, m.training, classify.Options{})
+		cls, err := classify.Train(m.tree, next.training, classify.Options{})
 		if err != nil {
 			return err
 		}
-		m.classifier = cls
+		classifier = cls
 	}
 
-	lexicon := m.opts.SeedLexicon
-	if lexicon == nil {
-		// Bootstrap words: the built-in common-English list plus the
-		// most frequent training-set words, which provably occur in
-		// on-topic text.
-		lexicon = defaultLexicon()
-		lexicon = append(lexicon, m.training.TopWords(300)...)
-	}
-
-	if useFPS && m.classifier == nil {
-		return errors.New("repro: FPS requires Train examples")
-	}
-
-	// buildOne samples and summarizes one database. Each database's
-	// randomness is derived from its own seed, so results are identical
-	// under any Parallelism setting. Sampling a remote database is
-	// latency-bound, which is where the concurrency pays off.
+	// buildOne samples and summarizes one database into a fresh copy of
+	// its record. Each database's randomness is derived from its own
+	// seed, so results are identical under any Parallelism setting.
+	// Sampling a remote database is latency-bound, which is where the
+	// concurrency pays off.
+	dbs := make([]*registeredDB, len(next.dbs))
 	buildOne := func(i int) error {
-		r := m.dbs[i]
+		r := *next.dbs[i]
 		var sample *sampling.Sample
 		var probed hierarchy.NodeID
 		var err error
@@ -810,7 +876,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		searcher := &dbSearcher{m: m, db: r.db, ctx: sctx}
 		if useFPS {
 			sample, probed, err = sampling.FPS(sctx, searcher, sampling.FPSConfig{
-				Classifier: m.classifier,
+				Classifier: classifier,
 				Span:       sampleSpan,
 				Metrics:    m.reg,
 			})
@@ -818,7 +884,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		} else {
 			sample, err = sampling.QBS(sctx, searcher, sampling.QBSConfig{
 				TargetDocs:  m.opts.SampleSize,
-				SeedLexicon: lexicon,
+				SeedLexicon: next.lexicon,
 				Seed:        m.opts.Seed + int64(i),
 				Span:        sampleSpan,
 				Metrics:     m.reg,
@@ -826,7 +892,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 			sampleSpan.End(queriesDocsAttrs(sample)...)
 			if err == nil && !r.fixedCat {
 				classifySpan := buildSpan.Child("classify", telemetry.String("db", r.name))
-				probed = m.classifier.ClassifyTraced(searcher, classifySpan, m.reg)
+				probed = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
 				classifySpan.End(telemetry.String("category", m.tree.PathString(probed)))
 			}
 		}
@@ -861,33 +927,15 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		} else {
 			r.assigned = probed
 		}
+		dbs[i] = &r
 		return nil
 	}
-	if err := forEachConcurrently(len(m.dbs), m.opts.Parallelism, m.reg, buildOne); err != nil {
+	if err := forEachConcurrently(len(dbs), m.opts.Parallelism, m.reg, buildOne); err != nil {
 		return err
 	}
-
-	classified := make([]core.Classified, len(m.dbs))
-	for i, r := range m.dbs {
-		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
-	}
-	m.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, r := range m.dbs {
-		shrinkSpan := buildSpan.Child("shrink", telemetry.String("db", r.name))
-		r.shrunk = core.Shrink(m.cats, classified[i], core.ShrinkOptions{
-			Span:    shrinkSpan,
-			Metrics: m.reg,
-		})
-		shrinkSpan.End(telemetry.Int("em_iterations", r.shrunk.EMIterations()))
-		r.prov.EMIterations = r.shrunk.EMIterations()
-		r.prov.Lambdas = r.shrunk.Lambdas()
-	}
-	m.global = m.cats.Summary(hierarchy.Root)
-	m.built = true
-	// Fresh summaries: any cached selection or result was derived from
-	// the previous ones and must not outlive them.
-	m.InvalidateCaches()
-	m.logInfo("summaries built", "databases", len(m.dbs), "elapsed", time.Since(t0))
+	next.dbs = dbs
+	m.derive(next, buildSpan)
+	m.logInfo("summaries built", "databases", len(dbs), "elapsed", time.Since(t0))
 	return nil
 }
 
@@ -921,7 +969,7 @@ func (m *Metasearcher) scorer() selection.Scorer {
 // for the same terms, scorer, and k are served from the selection cache
 // until the summaries change (see CacheConfig).
 func (m *Metasearcher) Select(query string, k int) ([]Selection, error) {
-	sels, _, _, err := m.selectCached(context.Background(), nil, query, k)
+	sels, _, _, err := m.selectCached(context.Background(), m.state.Load(), nil, m.analyze(query), k)
 	if err != nil {
 		return nil, err
 	}
@@ -939,18 +987,16 @@ type selectionExplain struct {
 	candidates []audit.Candidate
 }
 
-// selectExplained is selectSpanned plus the audit evidence: the
-// analyzed terms, the scorer used, and one audit.Candidate per
-// registered database (in registration order) carrying the score,
-// the shrinkage verdict with its Monte-Carlo statistics, and — when
-// shrinkage fired — the λ mixture the shrunk summary was built with.
-func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k int) ([]Selection, *selectionExplain, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.built {
-		return nil, nil, errors.New("repro: BuildSummaries has not been run")
+// selectExplained ranks the databases of st for the analyzed query
+// terms and returns the audit evidence with the selection: the terms,
+// the scorer used, and one audit.Candidate per registered database (in
+// registration order) carrying the score, the shrinkage verdict with
+// its Monte-Carlo statistics, and — when shrinkage fired — the λ
+// mixture the shrunk summary was built with.
+func (m *Metasearcher) selectExplained(st *servingState, parent *telemetry.Span, terms []string, k int) ([]Selection, *selectionExplain, error) {
+	if !st.built() {
+		return nil, nil, errNotBuilt
 	}
-	terms := m.analyze(query)
 	if len(terms) == 0 {
 		return nil, nil, errors.New("repro: query has no indexable terms")
 	}
@@ -965,7 +1011,7 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	defer m.reg.Window("select_latency_window", 0).ObserveSince(t0)
 
 	if strings.EqualFold(m.opts.Scorer, "redde") {
-		out, err := m.selectReDDE(terms, k)
+		out, err := selectReDDE(st, terms, k)
 		span.End(telemetry.Int("selected", len(out)))
 		if err != nil {
 			return nil, nil, err
@@ -985,22 +1031,22 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	var ranked []selection.Ranked
 	var decisions []selection.Decision
 	if m.opts.UniversalShrinkage {
-		entries := make([]selection.Entry, len(m.dbs))
-		for i, r := range m.dbs {
+		entries := make([]selection.Entry, len(st.dbs))
+		for i, r := range st.dbs {
 			entries[i] = selection.Entry{Name: r.name, View: r.shrunk}
 		}
-		ctx := selection.NewContext(terms, entries, m.global)
+		ctx := selection.NewContext(terms, entries, st.global)
 		var scores []float64
 		ranked, scores = selection.RankWithScores(base, terms, entries, ctx)
-		decisions = make([]selection.Decision, len(m.dbs))
-		m.reg.Counter("adaptive_shrinkage_applied_total").Add(int64(len(m.dbs)))
+		decisions = make([]selection.Decision, len(st.dbs))
+		m.reg.Counter("adaptive_shrinkage_applied_total").Add(int64(len(st.dbs)))
 		for i := range decisions {
 			decisions[i].Shrinkage = true
 			decisions[i].Score = scores[i]
 		}
 	} else {
-		adbs := make([]*selection.DB, len(m.dbs))
-		for i, r := range m.dbs {
+		adbs := make([]*selection.DB, len(st.dbs))
+		for i, r := range st.dbs {
 			adbs[i] = &selection.DB{
 				Name:     r.name,
 				Unshrunk: r.unshrunk,
@@ -1014,7 +1060,7 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 			Span:    span,
 			Metrics: m.reg,
 		}}
-		ranked, decisions = adaptive.Rank(terms, adbs, m.global)
+		ranked, decisions = adaptive.Rank(terms, adbs, st.global)
 	}
 
 	if k > len(ranked) {
@@ -1033,9 +1079,9 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	ex := &selectionExplain{
 		terms:      terms,
 		scorer:     base.Name(),
-		candidates: make([]audit.Candidate, len(m.dbs)),
+		candidates: make([]audit.Candidate, len(st.dbs)),
 	}
-	for i, r := range m.dbs {
+	for i, r := range st.dbs {
 		d := decisions[i]
 		c := audit.Candidate{
 			Database:  r.name,
@@ -1063,9 +1109,9 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 // Options.Scorer == "redde" (so sample documents were retained) and a
 // metasearcher that was built (not loaded: Save does not persist raw
 // sample documents).
-func (m *Metasearcher) selectReDDE(terms []string, k int) ([]Selection, error) {
-	samples := make([]selection.ReDDESample, len(m.dbs))
-	for i, r := range m.dbs {
+func selectReDDE(st *servingState, terms []string, k int) ([]Selection, error) {
+	samples := make([]selection.ReDDESample, len(st.dbs))
+	for i, r := range st.dbs {
 		if r.sampleDocs == nil && r.sampleLen > 0 {
 			return nil, errors.New(`repro: ReDDE needs retained samples; build with Options.Scorer = "redde" (Load-ed state cannot be used)`)
 		}
@@ -1107,43 +1153,32 @@ type DatabaseInfo struct {
 
 // Info reports the built state of a database.
 func (m *Metasearcher) Info(name string) (DatabaseInfo, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range m.dbs {
-		if r.name != name {
-			continue
-		}
-		if !m.built {
-			return DatabaseInfo{}, errors.New("repro: BuildSummaries has not been run")
-		}
-		info := DatabaseInfo{
-			Name:          name,
-			Category:      m.tree.PathString(r.assigned),
-			EstimatedSize: r.sizeEst,
-			SampleSize:    r.sampleLen,
-			SummaryWords:  r.unshrunk.Len(),
-		}
-		lambdas := r.shrunk.Lambdas()
-		if r.prov != nil {
-			info.SampleQueries = r.prov.SampleQueries
-			info.EMIterations = r.prov.EMIterations
-			// Prefer the persisted λ vector: it is the provenance of the
-			// deployed summaries even if a re-run would converge equally.
-			if len(r.prov.Lambdas) > 0 {
-				lambdas = r.prov.Lambdas
-			}
-		} else {
-			info.EMIterations = r.shrunk.EMIterations()
-		}
-		for _, l := range lambdas {
-			info.MixtureWeights = append(info.MixtureWeights, struct {
-				Component string
-				Weight    float64
-			}{l.Component, l.Weight})
-		}
-		return info, nil
+	st := m.state.Load()
+	_, r := st.find(name)
+	if r == nil {
+		return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
 	}
-	return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
+	if !st.built() {
+		return DatabaseInfo{}, errNotBuilt
+	}
+	info := DatabaseInfo{
+		Name:          name,
+		Category:      m.tree.PathString(r.assigned),
+		EstimatedSize: r.sizeEst,
+		SampleSize:    r.sampleLen,
+		SummaryWords:  r.unshrunk.Len(),
+		EMIterations:  r.shrunk.EMIterations(),
+	}
+	if r.prov != nil {
+		info.SampleQueries = r.prov.SampleQueries
+	}
+	for _, l := range r.shrunk.Lambdas() {
+		info.MixtureWeights = append(info.MixtureWeights, struct {
+			Component string
+			Weight    float64
+		}{l.Component, l.Weight})
+	}
+	return info, nil
 }
 
 // dbSearcher adapts a SearchableDatabase to the internal sampling and

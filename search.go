@@ -92,6 +92,10 @@ type SearchResponse struct {
 	// it by pipeline stage.
 	Elapsed time.Duration
 	Stages  SearchStages
+	// Generation identifies the summary state that answered: every
+	// query reads one state from selection through fan-out, and each
+	// state change publishes a new generation.
+	Generation uint64
 }
 
 // SearchStages decomposes one request's latency by pipeline stage, in
@@ -169,6 +173,8 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 		span = m.tracer.Span("search", attrs...)
 	}
 	m.reg.Counter("search_requests_total").Inc()
+	// One state answers the whole query, cached or not.
+	st := m.state.Load()
 	start := time.Now()
 	defer func() {
 		m.reg.Histogram("search_latency", nil).ObserveExemplar(time.Since(start).Seconds(), span.Context().TraceID)
@@ -181,11 +187,12 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	// and collapsed queries leave records too, built from the shared
 	// entry's evidence.
 	rec := &audit.QueryRecord{
-		TraceID: span.Context().TraceID,
-		Time:    start,
-		Query:   query,
-		MaxDBs:  maxDBs,
-		PerDB:   perDB,
+		TraceID:    span.Context().TraceID,
+		Time:       start,
+		Query:      query,
+		MaxDBs:     maxDBs,
+		PerDB:      perDB,
+		Generation: st.gen,
 	}
 	finish := func(err error) {
 		rec.ElapsedSeconds = time.Since(start).Seconds()
@@ -203,16 +210,16 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	)
 	terms := m.analyze(query)
 	if m.resCache != nil && len(terms) > 0 {
-		key := resultKey(selectionKey(terms, m.scorerKey(), maxDBs), perDB)
+		key := resultKey(selectionKey(st.gen, terms, m.scorerKey(), maxDBs), perDB)
 		var v interface{}
 		v, hit, collapsed, err = m.resCache.Do(ctx, key, func() (interface{}, error) {
-			return m.searchUncached(ctx, span, query, maxDBs, perDB, obs)
+			return m.searchUncached(ctx, st, span, terms, maxDBs, perDB, obs)
 		})
 		if v != nil {
 			e = v.(*searchEntry)
 		}
 	} else {
-		e, err = m.searchUncached(ctx, span, query, maxDBs, perDB, obs)
+		e, err = m.searchUncached(ctx, st, span, terms, maxDBs, perDB, obs)
 	}
 	// A cache hit or collapsed query never ran this caller's fan-out
 	// (and so never narrated anything): replay the selection from the
@@ -257,6 +264,7 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 		CacheHit:          hit,
 		SelectionCacheHit: rec.SelectionCacheHit,
 		Collapsed:         collapsed,
+		Generation:        st.gen,
 	}
 	cached := 0
 	if hit {
@@ -310,16 +318,17 @@ type searchEntry struct {
 	stages      SearchStages // selection/fan-out/merge timings of the cold path
 }
 
-// searchUncached is the cold search path: selection (through the
-// selection cache), parallel fan-out, merge. It always returns a
-// non-nil entry carrying whatever evidence was gathered before a
-// failure, so failed queries still produce explanatory audit records.
+// searchUncached is the cold search path over one state: selection
+// (through the selection cache), parallel fan-out, merge. It always
+// returns a non-nil entry carrying whatever evidence was gathered
+// before a failure, so failed queries still produce explanatory audit
+// records.
 // The span stays open — the caller owns its lifecycle. obs, when
 // non-nil, narrates the search as it progresses (see SearchEvents).
-func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span, query string, maxDBs, perDB int, obs SearchEvents) (*searchEntry, error) {
+func (m *Metasearcher) searchUncached(ctx context.Context, st *servingState, span *telemetry.Span, terms []string, maxDBs, perDB int, obs SearchEvents) (*searchEntry, error) {
 	e := &searchEntry{}
 	tSel := time.Now()
-	sels, explain, selHit, err := m.selectCached(ctx, span, query, maxDBs)
+	sels, explain, selHit, err := m.selectCached(ctx, st, span, terms, maxDBs)
 	e.stages.Selection = time.Since(tSel).Seconds()
 	m.reg.Histogram("search_stage_selection_latency", nil).Observe(e.stages.Selection)
 	e.selCacheHit = selHit
@@ -341,17 +350,6 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	if len(sels) == 0 {
 		return e, nil
 	}
-
-	m.mu.Lock()
-	terms := m.analyze(query)
-	handles := make(map[string]SearchableDatabase, len(m.dbs))
-	for _, r := range m.dbs {
-		if r.db != nil {
-			handles[r.name] = r.db
-		}
-	}
-	scope := m.scope
-	m.mu.Unlock()
 
 	// Normalize selection scores to [0, 1] so the discounting is
 	// comparable across scorers.
@@ -389,14 +387,15 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		// needs the collection-wide statistics) but queries only its own
 		// slice; the databases it skips here are served by the shards
 		// that own them and merged back together by the router.
-		if scope != nil && !scope[name] {
+		if st.scope != nil && !st.scope[name] {
 			m.reg.Counter("search_out_of_scope_total").Inc()
 			span.Event("search.out_of_scope", telemetry.String("db", name))
 			outcomes[i] = nodeOutcome{call: audit.NodeCall{Database: name, OutOfScope: true}}
 			em.record(i, outcomes[i])
 			return
 		}
-		outcomes[i] = m.searchNode(fanCtx, span, handles[name], name, terms, perDB, hedgeAfter)
+		_, r := st.find(name) // selected from st, so always present
+		outcomes[i] = m.searchNode(fanCtx, span, r.db, name, terms, perDB, hedgeAfter)
 		em.record(i, outcomes[i])
 	})
 	e.stages.Fanout = time.Since(tFan).Seconds()

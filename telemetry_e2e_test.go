@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -151,12 +152,16 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill one of the two Heart databases' handles.
-	for _, r := range m.dbs {
-		if r.name == "cardio" {
-			r.db = nil
-		}
-	}
+	// Kill one of the two Heart databases' handles (published as a new
+	// state: a published record is never mutated).
+	m.update(func(next *servingState) error {
+		i, r := next.find("cardio")
+		c := *r
+		c.db = nil
+		next.dbs = slices.Clone(next.dbs)
+		next.dbs[i] = &c
+		return nil
+	})
 	cap.Reset()
 	results, err := m.Search("blood pressure hypertension", 2, 5)
 	if err != nil {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -56,9 +57,11 @@ type TopologySwapReport struct {
 // drain and close in the background, their breakers leave the set, and
 // they revert to selection-only participation (exactly like an
 // out-of-scope database at load time). In-flight searches finish on the
-// handles they hold. When the scope changes the query caches are
-// invalidated (a cached merged result describes the old scope); the
-// health prober, if running, is retargeted either way.
+// handles they hold. A changed scope or handle set is published as a
+// new serving state, which stales the query caches (a cached merged
+// result describes the old scope); a swap confined to replica sets
+// publishes nothing. The health prober, if running, is retargeted
+// either way.
 //
 // client configures the wire clients of replicas created by this swap;
 // its Budget defaults to the process's retry budget.
@@ -67,105 +70,113 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 		client.Budget = m.budget
 	}
 	rep := &TopologySwapReport{}
-
-	m.mu.Lock()
-	byName := make(map[string]*registeredDB, len(m.dbs))
-	for _, r := range m.dbs {
-		byName[r.name] = r
-	}
-	assigned := make(map[string]bool, len(assigns))
-	newScope := make(map[string]bool, len(assigns))
-	for _, a := range assigns {
-		assigned[a.Database] = true
-		r, ok := byName[a.Database]
-		if !ok {
-			rep.Unknown = append(rep.Unknown, a.Database)
-			continue
-		}
-		newScope[a.Database] = true
-		opts := ReplicatedDatabaseOptions{
-			Preferred: a.Preferred,
-			Breakers:  m.breakers,
-			Metrics:   m.reg,
-			Client:    client,
-		}
-		if rd, ok := r.db.(*ReplicatedDatabase); ok {
-			added, removed, err := rd.UpdateReplicas(a.Replicas, a.Preferred)
+	var closing []*ReplicatedDatabase
+	err := m.update(func(next *servingState) error {
+		dbs := slices.Clone(next.dbs)
+		assigned := make(map[string]bool, len(assigns))
+		newScope := make(map[string]bool, len(assigns))
+		for _, a := range assigns {
+			assigned[a.Database] = true
+			i, r := next.find(a.Database)
+			if r == nil {
+				rep.Unknown = append(rep.Unknown, a.Database)
+				continue
+			}
+			newScope[a.Database] = true
+			if rd, ok := r.db.(*ReplicatedDatabase); ok {
+				added, removed, err := rd.UpdateReplicas(a.Replicas, a.Preferred)
+				if err != nil {
+					return err
+				}
+				if len(added) > 0 {
+					if rep.ReplicasAdded == nil {
+						rep.ReplicasAdded = make(map[string][]string)
+					}
+					rep.ReplicasAdded[a.Database] = added
+				}
+				if len(removed) > 0 {
+					if rep.ReplicasRemoved == nil {
+						rep.ReplicasRemoved = make(map[string][]string)
+					}
+					rep.ReplicasRemoved[a.Database] = removed
+				}
+				continue
+			}
+			// Newly in scope (or a non-replicated handle being promoted):
+			// attach a lazy replicated handle.
+			rd, err := NewReplicatedDatabase(a.Database, a.Category, 0, a.Replicas, ReplicatedDatabaseOptions{
+				Preferred: a.Preferred,
+				Breakers:  m.breakers,
+				Metrics:   m.reg,
+				Client:    client,
+			})
 			if err != nil {
-				m.mu.Unlock()
-				return rep, err
+				return err
 			}
-			if len(added) > 0 {
-				if rep.ReplicasAdded == nil {
-					rep.ReplicasAdded = make(map[string][]string)
-				}
-				rep.ReplicasAdded[a.Database] = added
-			}
-			if len(removed) > 0 {
-				if rep.ReplicasRemoved == nil {
-					rep.ReplicasRemoved = make(map[string][]string)
-				}
-				rep.ReplicasRemoved[a.Database] = removed
-			}
-			continue
+			c := *r
+			c.db = rd
+			dbs[i] = &c
+			rep.Attached = append(rep.Attached, a.Database)
 		}
-		// Newly in scope (or a non-replicated handle being promoted):
-		// attach a lazy replicated handle.
-		rd, err := NewReplicatedDatabase(a.Database, a.Category, 0, a.Replicas, opts)
-		if err != nil {
-			m.mu.Unlock()
-			return rep, err
-		}
-		r.db = rd
-		rep.Attached = append(rep.Attached, a.Database)
-	}
 
-	// The old effective scope: the explicit scope set when present
-	// (cluster shards after LoadFiltered), otherwise every database with
-	// a live handle (an unscoped process adopting a topology).
-	oldScope := make(map[string]bool)
-	for _, r := range m.dbs {
-		if m.scope != nil {
-			if m.scope[r.name] {
+		// The old effective scope: the explicit scope set when present
+		// (cluster shards after LoadFiltered), otherwise every database
+		// with a live handle (an unscoped process adopting a topology).
+		oldScope := make(map[string]bool)
+		for _, r := range next.dbs {
+			if next.scope != nil {
+				if next.scope[r.name] {
+					oldScope[r.name] = true
+				}
+			} else if r.db != nil {
 				oldScope[r.name] = true
 			}
-		} else if r.db != nil {
-			oldScope[r.name] = true
 		}
-	}
 
-	// Detach databases that left this process's slice: drain and close
-	// their handles, drop their database-level breakers.
-	for _, r := range m.dbs {
-		if r.db == nil || assigned[r.name] || !oldScope[r.name] {
-			continue
+		// Detach databases that left this process's slice; their handles
+		// are closed once the state without them is published.
+		for i, r := range dbs {
+			if r.db == nil || assigned[r.name] || !oldScope[r.name] {
+				continue
+			}
+			if rd, ok := r.db.(*ReplicatedDatabase); ok {
+				closing = append(closing, rd)
+			}
+			c := *r
+			c.db = nil
+			dbs[i] = &c
+			rep.Detached = append(rep.Detached, r.name)
 		}
-		if rd, ok := r.db.(*ReplicatedDatabase); ok {
-			rd.Close()
-		}
-		r.db = nil
-		m.breakers.Remove(r.name)
-		rep.Detached = append(rep.Detached, r.name)
-	}
 
-	rep.ScopeChanged = len(newScope) != len(oldScope)
-	for name := range newScope {
-		if !oldScope[name] {
-			rep.ScopeChanged = true
+		rep.ScopeChanged = len(newScope) != len(oldScope)
+		for name := range newScope {
+			if !oldScope[name] {
+				rep.ScopeChanged = true
+			}
 		}
+		if !rep.ScopeChanged && len(rep.Attached) == 0 && next.scope != nil {
+			// Replica sets were swapped inside their handles; the
+			// serving state itself is unchanged, and so are the caches.
+			return errUnchanged
+		}
+		next.dbs, next.scope = dbs, newScope
+		return nil
+	})
+	if err != nil {
+		return rep, err
 	}
-	m.scope = newScope
-	m.mu.Unlock()
+	// Drain and close departed handles only once no new query can pick
+	// them up; in-flight searches finish on the handles they hold.
+	for _, rd := range closing {
+		rd.Close()
+	}
+	for _, name := range rep.Detached {
+		m.breakers.Remove(name)
+	}
 
 	sort.Strings(rep.Attached)
 	sort.Strings(rep.Detached)
 	sort.Strings(rep.Unknown)
-	if rep.ScopeChanged {
-		// Cached selections survive (selection statistics are
-		// collection-wide and unchanged), but cached merged results
-		// describe the old scope.
-		m.InvalidateCaches()
-	}
 	m.refreshProbeTargets()
 	m.logInfo("topology swap applied",
 		"attached", len(rep.Attached), "detached", len(rep.Detached),
