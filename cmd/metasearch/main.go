@@ -14,10 +14,7 @@
 //	           [-save state.json] [-load state.json] \
 //	           [-deadline 2s] [-hedge-after 100ms] [-probe-interval 2s] \
 //	           [-cache-size 1024] [-cache-ttl 10m] [-max-inflight 64] \
-//	           [-drain-timeout 5s] \
-//	           [-loadtest -lt-qps 100 -lt-duration 30s -lt-ramp 50:5s,500:2s:20 \
-//	            -lt-driver http|inproc -lt-trace trace.json -lt-out BENCH.json] \
-//	           [query ...]
+//	           [-drain-timeout 5s] [query ...]
 //
 // With no query arguments, queries are read one per line from stdin.
 //
@@ -41,16 +38,6 @@
 // one API-only. Every request is judged against the serving SLOs
 // (-slo-latency, -slo-target); /debug/slo reports multi-window
 // error-budget burn rates.
-//
-// With -loadtest, the process instead measures its own serving path:
-// it generates (or replays, with -lt-trace) a deterministic open-loop
-// workload — Poisson arrivals at the configured QPS profile, Zipfian
-// query popularity over the testbed's query set — drives the gateway
-// over a loopback HTTP listener (-lt-driver http, the default) or
-// SearchExplained directly (inproc), and prints achieved QPS, latency
-// percentiles measured from scheduled arrival times, shed/hedge/cache
-// rates, per-stage latency percentiles, and the SLO report. -lt-out
-// merges the run into a BENCH JSON file's serving section.
 //
 // With -remote, the metasearcher talks to dbnode servers over the wire
 // protocol instead of registering in-process databases; the nodes must
@@ -101,8 +88,8 @@
 //	/debug/breakers    every node's circuit-breaker state (state, window,
 //	                   trips, short-circuits)
 //	/debug/slo         serving-objective report: burn rate and remaining
-//	                   error budget per objective and window (with -serve
-//	                   or -loadtest; 404 otherwise)
+//	                   error budget per objective and window (with -serve;
+//	                   404 otherwise)
 //	/debug/refresh     summary-refresh state: swap generation and each
 //	                   node's last divergence, drift count, and swaps
 //	                   (with -refresh-interval)
@@ -205,20 +192,6 @@ func main() {
 		profileEvery  = flag.Duration("profile-interval", 30*time.Second, "with -collect: pause between profile captures (each tick profiles one member, rotating through the fleet)")
 		profileCPU    = flag.Int("profile-cpu-seconds", 5, "with -collect: length of each CPU profile capture")
 		profileKeep   = flag.Int("profile-keep", 32, "with -collect: retained profiles per kind (cpu, heap); oldest deleted first")
-
-		loadtest   = flag.Bool("loadtest", false, "run a load test against this process's own serving path instead of a REPL, print the report, then exit")
-		ltQPS      = flag.Float64("lt-qps", 50, "load test: steady offered rate (ignored when -lt-ramp is set)")
-		ltDuration = flag.Duration("lt-duration", 10*time.Second, "load test: steady-phase length (ignored when -lt-ramp is set)")
-		ltRamp     = flag.String("lt-ramp", "", "load test: QPS profile as qps:duration[:burst] segments, e.g. 50:5s,500:2s:20,50:5s")
-		ltDriver   = flag.String("lt-driver", "http", "load test: http (loopback gateway, the full serving path) | inproc (direct SearchExplained calls)")
-		ltZipf     = flag.Float64("lt-zipf", 1.1, "load test: Zipf exponent of query popularity")
-		ltQueries  = flag.Int("lt-queries", 0, "load test: distinct queries in the workload (0 = the testbed's whole query set)")
-		ltTrace    = flag.String("lt-trace", "", "load test: trace file; replayed if it exists, else generated and saved for replay")
-		ltOut      = flag.String("lt-out", "", "load test: merge the run report into this BENCH JSON file's serving section")
-		ltName     = flag.String("lt-name", "", "load test: run label in reports (default derived from the profile)")
-		ltMaxOut   = flag.Int("lt-max-outstanding", 0, "load test: client-side cap on in-flight requests; excess scheduled requests are dropped, not deferred (0 = unlimited)")
-		ltStream   = flag.Bool("lt-stream", false, "load test: after the run, measure streaming delivery — /v1/search/stream time-to-first-frame vs blocking /v1/search latency — and merge a streaming section into -lt-out (http driver only)")
-		ltStreamN  = flag.Int("lt-stream-samples", 40, "load test: timed requests in the -lt-stream stage, split between the blocking and streaming halves")
 	)
 	flag.Parse()
 
@@ -281,25 +254,6 @@ func main() {
 			SLOLatency:   *sloLatency,
 			SLOTarget:    *sloTarget,
 			Trace:        *trace,
-			Loadtest:     *loadtest,
-			LT: loadtestConfig{
-				QPS:            *ltQPS,
-				Duration:       *ltDuration,
-				Ramp:           *ltRamp,
-				Driver:         *ltDriver,
-				Zipf:           *ltZipf,
-				NumQueries:     *ltQueries,
-				TraceFile:      *ltTrace,
-				OutFile:        *ltOut,
-				Name:           *ltName,
-				Seed:           *seed,
-				MaxDBs:         *k,
-				PerDB:          *perDB,
-				MaxOutstanding: *ltMaxOut,
-				Section:        "cluster_serving",
-				Stream:         *ltStream,
-				StreamSamples:  *ltStreamN,
-			},
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -368,7 +322,7 @@ func main() {
 	// The SLO tracker judges every gateway request against the serving
 	// objectives; /debug/slo reports multi-window error-budget burn.
 	var tracker *slo.Tracker
-	if *serveAddr != "" || *loadtest {
+	if *serveAddr != "" {
 		objectives := slo.DefaultObjectives(*sloLatency)
 		objectives[0].Target = *sloTarget
 		tracker = slo.New(slo.Config{Objectives: objectives, Registry: m.Metrics()})
@@ -581,31 +535,6 @@ func main() {
 				LastSwapUnixMs: topoSwapMs.Load(),
 			}
 		}
-	}
-
-	if *loadtest {
-		if err := runLoadtest(m, m.Metrics(), w, loadtestConfig{
-			QPS:            *ltQPS,
-			Duration:       *ltDuration,
-			Ramp:           *ltRamp,
-			Driver:         *ltDriver,
-			Zipf:           *ltZipf,
-			NumQueries:     *ltQueries,
-			TraceFile:      *ltTrace,
-			OutFile:        *ltOut,
-			Name:           *ltName,
-			Seed:           *seed,
-			MaxDBs:         *k,
-			PerDB:          *perDB,
-			MaxOutstanding: *ltMaxOut,
-			Stream:         *ltStream,
-			StreamSamples:  *ltStreamN,
-			Gateway:        gopts,
-			Tracker:        tracker,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *serveAddr != "" {

@@ -30,8 +30,6 @@ type routeConfig struct {
 	SLOLatency   time.Duration
 	SLOTarget    float64
 	Trace        bool
-	Loadtest     bool
-	LT           loadtestConfig
 }
 
 // runRoute runs the process as the cluster's scatter-gather router: no
@@ -43,6 +41,9 @@ type routeConfig struct {
 func runRoute(w *experiments.World, cfg routeConfig) error {
 	if cfg.TopologyFile == "" {
 		log.Fatal("-route requires -topology")
+	}
+	if cfg.ServeAddr == "" {
+		log.Fatal("-route needs -serve: a router has no REPL")
 	}
 
 	reg := telemetry.NewRegistry()
@@ -127,14 +128,5 @@ func runRoute(w *experiments.World, cfg routeConfig) error {
 		topology: rt.TopologyHandler(),
 	}
 
-	if cfg.Loadtest {
-		lt := cfg.LT
-		lt.Gateway = gopts
-		lt.Tracker = tracker
-		return runLoadtest(rt, reg, w, lt)
-	}
-	if cfg.ServeAddr == "" {
-		log.Fatal("-route needs -serve (or -loadtest): a router has no REPL")
-	}
 	return serve(rt, w, cfg.ServeAddr, cfg.DebugAddr, gopts, tracker, cfg.DrainFor, dbg)
 }

@@ -1,113 +1,60 @@
-// Package loadgen is the workload engine: an open-loop load generator
-// that drives the metasearcher (in process, or over HTTP through the
-// gateway) at a configured request rate and measures what serving
-// actually costs — achieved QPS, latency percentiles including the
-// tail, and shed/hedge/breaker/cache rates.
-//
-// Two properties make the numbers honest:
-//
-//   - Open loop. Arrivals are a Poisson process at the configured rate,
-//     generated ahead of time; a request fires at its scheduled instant
-//     whether or not earlier requests have finished. A closed loop (N
-//     workers in a request-response cycle) backs off exactly when the
-//     server struggles, hiding the overload it was supposed to measure.
-//
-//   - Coordinated-omission-safe latency. A request's latency is
-//     measured from its *scheduled* arrival, not from when the client
-//     got around to sending it, so scheduler lag and queueing delay
-//     count against the server's percentiles (the wrk2 correction).
-//
-// Query popularity is Zipfian — a few hot queries dominate, a long tail
-// keeps the cache honest — and the full request schedule is generated
-// deterministically from a seed into a Trace, a replayable JSON
-// document: the same trace replays the same schedule, so two builds can
-// be measured under identical workloads.
+// Package loadgen generates seeded open-loop request schedules: Poisson
+// arrivals at a configured rate, each naming a query drawn from a Zipf
+// law over the workload's queries (rank r with probability ∝
+// (r+1)^-1.1, so a few hot queries dominate and a long tail keeps a
+// cache honest). Generating the whole schedule ahead of time is what
+// makes a load run open-loop — a request is due at its instant whether
+// or not earlier ones have finished — and the seed makes it
+// repeatable: the same spec and workload give the same schedule, so two
+// builds can be measured under identical load. The serving benchmark
+// (servebench/) sends and times the schedules; this package only
+// draws them.
 package loadgen
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/zipf"
 )
 
-// TraceVersion identifies the trace file format.
-const TraceVersion = 1
+// zipfExponent skews query popularity: rank r is drawn with
+// probability ∝ (r+1)^-zipfExponent.
+const zipfExponent = 1.1
 
-// Phase is one segment of the QPS profile: hold QPS for Duration.
-// Ramps and bursts are sequences of phases ("50 QPS for 10s, then 500
-// for 2s, then 50 again").
+// Phase is one segment of the rate profile: Poisson arrivals at QPS
+// for DurationSeconds.
 type Phase struct {
 	// QPS is the mean arrival rate of this phase.
-	QPS float64 `json:"qps"`
+	QPS float64
 	// DurationSeconds is how long the phase lasts.
-	DurationSeconds float64 `json:"duration_seconds"`
-	// Burst groups arrivals into back-to-back volleys of this size:
-	// volleys arrive as a Poisson process at QPS/Burst, each carrying
-	// Burst simultaneous requests — the "thundering herd" shape that
-	// singleflight collapsing and admission gates exist for. 0 or 1
-	// means independent arrivals.
-	Burst int `json:"burst,omitempty"`
+	DurationSeconds float64
 }
 
-// Spec configures trace generation.
+// Spec configures schedule generation.
 type Spec struct {
-	// Phases is the QPS profile, played in order.
-	Phases []Phase `json:"phases"`
-	// ZipfExponent skews query popularity (rank r drawn with
-	// probability ∝ (r+1)^-s; default 1.1). Higher = hotter head =
-	// higher cache-hit rates.
-	ZipfExponent float64 `json:"zipf_exponent,omitempty"`
+	// Phases is the rate profile, played in order.
+	Phases []Phase
 	// Seed drives arrivals and query choice. Same seed + same spec +
-	// same workload ⇒ byte-identical trace.
-	Seed int64 `json:"seed"`
+	// same workload ⇒ identical schedule.
+	Seed int64
 }
 
 // Event is one scheduled request.
 type Event struct {
-	// At is the scheduled arrival, in seconds since trace start.
-	At float64 `json:"at"`
+	// At is the scheduled arrival, in seconds since the schedule starts.
+	At float64
 	// Query indexes Trace.Queries.
-	Query int `json:"query"`
+	Query int
 }
 
-// Trace is a fully materialized, replayable request schedule.
+// Trace is a materialized request schedule.
 type Trace struct {
-	Version int  `json:"version"`
-	Spec    Spec `json:"spec"`
 	// Queries is the workload: the distinct query strings, hottest rank
-	// first (popularity follows the spec's Zipf law over indices).
-	Queries []string `json:"queries"`
-	Events  []Event  `json:"events"`
-}
-
-// Duration is the total scheduled length of the trace's profile.
-func (t *Trace) Duration() time.Duration {
-	var s float64
-	for _, p := range t.Spec.Phases {
-		s += p.DurationSeconds
-	}
-	return time.Duration(s * float64(time.Second))
-}
-
-// TargetQPS is the profile's mean arrival rate (request-weighted).
-func (t *Trace) TargetQPS() float64 {
-	var reqs, secs float64
-	for _, p := range t.Spec.Phases {
-		reqs += p.QPS * p.DurationSeconds
-		secs += p.DurationSeconds
-	}
-	if secs == 0 {
-		return 0
-	}
-	return reqs / secs
+	// first.
+	Queries []string
+	Events  []Event
 }
 
 // Generate materializes the request schedule for a workload: Poisson
@@ -125,36 +72,23 @@ func Generate(spec Spec, queries []string) (*Trace, error) {
 			return nil, fmt.Errorf("loadgen: phase %d needs positive qps and duration, got %+v", i, p)
 		}
 	}
-	s := spec.ZipfExponent
-	if s == 0 {
-		s = 1.1
-	}
-	sampler, err := zipf.NewSampler(len(queries), s, 0)
+	sampler, err := zipf.NewSampler(len(queries), zipfExponent, 0)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: %v", err)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	tr := &Trace{Version: TraceVersion, Spec: spec, Queries: queries}
+	tr := &Trace{Queries: queries}
 	offset := 0.0
 	for _, p := range spec.Phases {
-		burst := p.Burst
-		if burst < 1 {
-			burst = 1
-		}
-		// Volleys of `burst` requests arrive as a Poisson process whose
-		// rate keeps the per-request QPS at p.QPS.
-		volleyRate := p.QPS / float64(burst)
 		end := offset + p.DurationSeconds
 		at := offset
 		for {
-			at += rng.ExpFloat64() / volleyRate
+			at += rng.ExpFloat64() / p.QPS
 			if at >= end {
 				break
 			}
-			for j := 0; j < burst; j++ {
-				tr.Events = append(tr.Events, Event{At: at, Query: sampler.Sample(rng)})
-			}
+			tr.Events = append(tr.Events, Event{At: at, Query: sampler.Sample(rng)})
 		}
 		offset = end
 	}
@@ -162,90 +96,4 @@ func Generate(spec Spec, queries []string) (*Trace, error) {
 		return nil, errors.New("loadgen: profile too short, no arrivals generated")
 	}
 	return tr, nil
-}
-
-// Encode writes the trace as JSON.
-func (t *Trace) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
-}
-
-// Decode reads a trace written by Encode.
-func Decode(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("loadgen: malformed trace: %v", err)
-	}
-	if t.Version != TraceVersion {
-		return nil, fmt.Errorf("loadgen: trace version %d, want %d", t.Version, TraceVersion)
-	}
-	if len(t.Queries) == 0 || len(t.Events) == 0 {
-		return nil, errors.New("loadgen: trace has no queries or events")
-	}
-	for i, ev := range t.Events {
-		if ev.Query < 0 || ev.Query >= len(t.Queries) {
-			return nil, fmt.Errorf("loadgen: event %d references query %d of %d", i, ev.Query, len(t.Queries))
-		}
-	}
-	return &t, nil
-}
-
-// SaveFile writes the trace to a file; LoadFile reads one back.
-func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a trace file written by SaveFile.
-func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
-// ParseRamp parses a compact QPS profile like "50:5s,500:2s,50:5s"
-// (qps:duration segments, played in order) into phases. An optional
-// third field sets the burst size: "200:10s:20" groups that phase's
-// arrivals into volleys of 20.
-func ParseRamp(s string) ([]Phase, error) {
-	var phases []Phase
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("loadgen: bad ramp segment %q (want qps:duration[:burst])", part)
-		}
-		qps, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: bad qps in ramp segment %q", part)
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("loadgen: bad duration in ramp segment %q", part)
-		}
-		burst := 0
-		if len(fields) == 3 {
-			if burst, err = strconv.Atoi(fields[2]); err != nil || burst < 0 {
-				return nil, fmt.Errorf("loadgen: bad burst in ramp segment %q", part)
-			}
-		}
-		phases = append(phases, Phase{QPS: qps, DurationSeconds: d.Seconds(), Burst: burst})
-	}
-	if len(phases) == 0 {
-		return nil, errors.New("loadgen: empty ramp")
-	}
-	return phases, nil
 }

@@ -1,20 +1,15 @@
 package loadgen
 
 import (
-	"bytes"
-	"context"
-	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 var testQueries = []string{"heart attack", "world cup", "gene therapy", "stock market", "deep sea"}
 
 func testSpec(seed int64) Spec {
 	return Spec{
-		Phases: []Phase{{QPS: 200, DurationSeconds: 2}, {QPS: 50, DurationSeconds: 1, Burst: 5}},
+		Phases: []Phase{{QPS: 200, DurationSeconds: 2}, {QPS: 50, DurationSeconds: 1}},
 		Seed:   seed,
 	}
 }
@@ -40,46 +35,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	a, err := Generate(testSpec(7), testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("trace changed across encode/decode")
-	}
-}
-
-func TestDecodeRejectsBadTraces(t *testing.T) {
-	for name, body := range map[string]string{
-		"wrong version": `{"version":99,"queries":["a"],"events":[{"at":0.1,"query":0}]}`,
-		"no queries":    `{"version":1,"queries":[],"events":[{"at":0.1,"query":0}]}`,
-		"bad index":     `{"version":1,"queries":["a"],"events":[{"at":0.1,"query":3}]}`,
-		"not json":      `garbage`,
-	} {
-		if _, err := Decode(bytes.NewBufferString(body)); err == nil {
-			t.Errorf("%s: Decode accepted a malformed trace", name)
-		}
-	}
-}
-
 func TestGenerateSchedule(t *testing.T) {
 	tr, err := Generate(testSpec(1), testQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dur := tr.Duration().Seconds()
-	if dur != 3 {
-		t.Fatalf("Duration = %vs, want 3s", dur)
-	}
+	const dur = 3.0
 	prev := 0.0
 	for i, ev := range tr.Events {
 		if ev.At < prev {
@@ -98,16 +59,12 @@ func TestGenerateSchedule(t *testing.T) {
 	if n := len(tr.Events); n < 270 || n > 630 {
 		t.Fatalf("got %d events, expected around 450", n)
 	}
-	if got, want := tr.TargetQPS(), 450.0/3.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("TargetQPS = %v, want %v", got, want)
-	}
 }
 
 func TestGenerateZipfHeadSkew(t *testing.T) {
 	tr, err := Generate(Spec{
-		Phases:       []Phase{{QPS: 2000, DurationSeconds: 2}},
-		ZipfExponent: 1.3,
-		Seed:         9,
+		Phases: []Phase{{QPS: 2000, DurationSeconds: 2}},
+		Seed:   9,
 	}, testQueries)
 	if err != nil {
 		t.Fatal(err)
@@ -121,191 +78,5 @@ func TestGenerateZipfHeadSkew(t *testing.T) {
 	}
 	if frac := float64(counts[0]) / float64(len(tr.Events)); frac < 0.35 {
 		t.Fatalf("hottest query got %.0f%% of traffic, expected a dominant head", frac*100)
-	}
-}
-
-func TestGenerateBurstVolleys(t *testing.T) {
-	tr, err := Generate(Spec{
-		Phases: []Phase{{QPS: 100, DurationSeconds: 2, Burst: 10}},
-		Seed:   3,
-	}, testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events)%10 != 0 {
-		t.Fatalf("%d events with burst 10: volleys are not whole", len(tr.Events))
-	}
-	// Every volley shares one arrival instant.
-	for i := 0; i < len(tr.Events); i += 10 {
-		for j := 1; j < 10; j++ {
-			if tr.Events[i+j].At != tr.Events[i].At {
-				t.Fatalf("volley at event %d not simultaneous", i)
-			}
-		}
-	}
-}
-
-func TestParseRamp(t *testing.T) {
-	phases, err := ParseRamp("50:5s, 500:2s:20 ,50:5s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Phase{
-		{QPS: 50, DurationSeconds: 5},
-		{QPS: 500, DurationSeconds: 2, Burst: 20},
-		{QPS: 50, DurationSeconds: 5},
-	}
-	if !reflect.DeepEqual(phases, want) {
-		t.Fatalf("ParseRamp = %+v, want %+v", phases, want)
-	}
-	for _, bad := range []string{"", "fast:1s", "50", "50:1s:x", "50:zero", "1:2:3:4"} {
-		if _, err := ParseRamp(bad); err == nil {
-			t.Errorf("ParseRamp(%q) accepted a bad ramp", bad)
-		}
-	}
-}
-
-// slowDriver answers every request after a fixed delay.
-type slowDriver struct {
-	delay time.Duration
-	calls atomic.Int64
-}
-
-func (d *slowDriver) Name() string { return "slow" }
-
-func (d *slowDriver) Do(ctx context.Context, query string) Result {
-	d.calls.Add(1)
-	select {
-	case <-time.After(d.delay):
-	case <-ctx.Done():
-	}
-	return Result{ResultHit: true}
-}
-
-// TestOpenLoopDoesNotBackOff is the coordinated-omission test: with
-// 50ms of server latency and 100 QPS offered, a closed loop with a
-// single connection would be capped at 20 QPS. The open-loop runner
-// must keep issuing at the scheduled rate regardless of outstanding
-// requests.
-func TestOpenLoopDoesNotBackOff(t *testing.T) {
-	tr, err := Generate(Spec{
-		Phases: []Phase{{QPS: 100, DurationSeconds: 0.5}},
-		Seed:   11,
-	}, testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &slowDriver{delay: 50 * time.Millisecond}
-	rep, err := Run(context.Background(), tr, d, Options{Name: "open-loop"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != len(tr.Events) {
-		t.Fatalf("issued %d of %d scheduled requests", rep.Requests, len(tr.Events))
-	}
-	if rep.AchievedQPS < 40 {
-		t.Fatalf("achieved %.1f QPS with 50ms server latency: runner is closing the loop", rep.AchievedQPS)
-	}
-	if rep.Latency.P50 < 0.045 {
-		t.Fatalf("p50 %.1fms below the 50ms floor imposed by the driver", rep.Latency.P50*1e3)
-	}
-	if rep.Rates["result_cache_hit"] != 1 {
-		t.Fatalf("result_cache_hit rate %.2f, want 1", rep.Rates["result_cache_hit"])
-	}
-}
-
-// outcomeDriver cycles through canned outcomes.
-type outcomeDriver struct {
-	outcomes []Result
-	n        atomic.Int64
-}
-
-func (d *outcomeDriver) Name() string { return "canned" }
-
-func (d *outcomeDriver) Do(ctx context.Context, query string) Result {
-	i := int(d.n.Add(1)-1) % len(d.outcomes)
-	return d.outcomes[i]
-}
-
-func TestRunAccounting(t *testing.T) {
-	tr, err := Generate(Spec{
-		Phases: []Phase{{QPS: 400, DurationSeconds: 0.25}},
-		Seed:   5,
-	}, testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &outcomeDriver{outcomes: []Result{
-		{ResultHit: true},
-		{Shed: true, Status: 429},
-		{Err: context.DeadlineExceeded, Status: 504},
-		{Collapsed: true},
-	}}
-	rep, err := Run(context.Background(), tr, d, Options{Name: "accounting"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != len(tr.Events) {
-		t.Fatalf("issued %d of %d", rep.Requests, len(tr.Events))
-	}
-	if rep.OK+rep.Errors+rep.Shed != rep.Requests {
-		t.Fatalf("ok %d + errors %d + shed %d != requests %d", rep.OK, rep.Errors, rep.Shed, rep.Requests)
-	}
-	if rep.Errors == 0 || rep.Shed == 0 {
-		t.Fatalf("outcome mix lost: errors %d shed %d", rep.Errors, rep.Shed)
-	}
-	wantShed := float64(rep.Shed) / float64(rep.Requests)
-	if math.Abs(rep.Rates["shed"]-wantShed) > 1e-9 {
-		t.Fatalf("shed rate %v, want %v", rep.Rates["shed"], wantShed)
-	}
-	if rep.Format() == "" {
-		t.Fatal("empty formatted report")
-	}
-}
-
-func TestRunHonorsMaxOutstanding(t *testing.T) {
-	tr, err := Generate(Spec{
-		Phases: []Phase{{QPS: 500, DurationSeconds: 0.3}},
-		Seed:   17,
-	}, testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &slowDriver{delay: 200 * time.Millisecond}
-	rep, err := Run(context.Background(), tr, d, Options{Name: "capped", MaxOutstanding: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dropped == 0 {
-		t.Fatal("a 4-deep cap against 200ms latency at 500 QPS must drop requests")
-	}
-	if rep.Requests+rep.Dropped != len(tr.Events) {
-		t.Fatalf("requests %d + dropped %d != scheduled %d", rep.Requests, rep.Dropped, len(tr.Events))
-	}
-	if got := int(d.calls.Load()); got != rep.Requests {
-		t.Fatalf("driver saw %d calls, report says %d", got, rep.Requests)
-	}
-}
-
-func TestRunCancel(t *testing.T) {
-	tr, err := Generate(Spec{
-		Phases: []Phase{{QPS: 10, DurationSeconds: 30}},
-		Seed:   23,
-	}, testQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	rep, err := Run(ctx, tr, &slowDriver{delay: time.Millisecond}, Options{Name: "canceled"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancelled run still took %v", elapsed)
-	}
-	if rep.Requests >= len(tr.Events) {
-		t.Fatal("cancellation did not stop the schedule")
 	}
 }

@@ -642,23 +642,14 @@ func (r *Router) merge(replies []shardReply, query string) (*repro.SearchRespons
 }
 
 // sortDedup applies the cluster merge's tail in place: the in-process
-// merge's exact tie-break (score descending, then database name, then
-// doc id), then first-wins deduplication of (database, doc id) pairs —
-// replicated databases are owned by several shards and arrive once per
-// owner with identical scores. drops, when non-nil, counts the
+// merge's order (repro.SortResults), then first-wins deduplication of
+// (database, doc id) pairs — replicated databases are owned by several
+// shards and arrive once per owner with identical scores. drops, when non-nil, counts the
 // duplicates removed (the final merge feeds router_dedup_dropped_total;
 // streamed partial merges pass nil so re-merging the same replicas per
 // progress frame does not inflate the counter).
 func sortDedup(results []repro.Result, drops *telemetry.Counter) []repro.Result {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		if results[i].Database != results[j].Database {
-			return results[i].Database < results[j].Database
-		}
-		return results[i].DocID < results[j].DocID
-	})
+	repro.SortResults(results)
 	seen := make(map[resultKey]bool, len(results))
 	merged := results[:0]
 	for _, h := range results {

@@ -25,10 +25,11 @@ import (
 
 // The streaming end-to-end test: with one shard's dbnodes behind a
 // chaos latency proxy, a stream through the router must deliver the
-// selection frame first, the fast shard's node results well before the
-// delayed final frame, and a final frame identical to the blocking
-// endpoint's answer; and a client that disconnects mid-stream must
-// release the fan-out on every shard (search_inflight drains to zero).
+// selection frame first and in under half the final frame's time, the
+// fast shard's node results well before the delayed final frame, and a
+// final frame identical to the blocking endpoint's answer; and a client
+// that disconnects mid-stream must release the fan-out on every shard
+// (search_inflight drains to zero).
 
 // streamFrame is one received frame with its arrival time.
 type streamFrame struct {
@@ -253,6 +254,13 @@ func TestClusterStreaming(t *testing.T) {
 		if final-firstNode < chaosDelay/2 {
 			t.Errorf("first node_result at %v, final at %v: streaming bought < %v of early delivery",
 				firstNode, final, chaosDelay/2)
+		}
+		// Time to first frame: the selection frame must reach the client
+		// in under half the time the whole answer takes — what
+		// progressive delivery buys over a blocking request.
+		if frames[0].at >= final/2 {
+			t.Errorf("selection frame at %v, final at %v: time to first frame is not under half the full answer",
+				frames[0].at, final)
 		}
 
 		// The final frame must be the blocking endpoint's answer — same

@@ -669,8 +669,8 @@ func registerPipelineMetrics(reg *telemetry.Registry) {
 		{"search_latency", "End-to-end search latency, seconds."},
 		{"search_db_latency", "Per-database query-call latency inside the fan-out, seconds."},
 		// Per-stage decomposition of search_latency: cache lookup →
-		// selection → fan-out → merge. Percentiles export via
-		// telemetry.HistogramSnapshot.Quantile.
+		// selection → fan-out → merge. Bucket counts export on
+		// /metrics.
 		{"search_stage_cache_latency", "Search time spent in cache lookup and bookkeeping, seconds."},
 		{"search_stage_selection_latency", "Search time spent in database selection, seconds."},
 		{"search_stage_fanout_latency", "Search time spent in the parallel database fan-out, seconds."},

@@ -103,8 +103,8 @@ type SearchResponse struct {
 // computation and cache bookkeeping around the real work; for a cache
 // hit or a collapsed request the whole latency is Cache time (the other
 // stages were paid by the request that fanned out). Each stage is also
-// recorded in its search_stage_* latency histogram, whose percentiles
-// are exported via telemetry.HistogramSnapshot.Quantile.
+// recorded in its search_stage_* latency histogram, whose bucket counts
+// are exported on /metrics.
 type SearchStages struct {
 	// Cache is time spent in cache lookup and bookkeeping.
 	Cache float64
@@ -455,10 +455,12 @@ type nodeOutcome struct {
 	ok   bool
 }
 
-// sortResults applies the merge's deterministic order in place: score
+// SortResults applies the merge's deterministic order in place: score
 // descending, then database name, then document id. Arrival order never
-// shows through.
-func sortResults(out []Result) {
+// shows through. Every plane that merges results (the metasearcher, the
+// cluster router) orders them with this one function, which is what
+// keeps a cluster's ranking equal to the single-process one.
+func SortResults(out []Result) {
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {
 			return out[a].Score > out[b].Score
@@ -490,7 +492,7 @@ func scoreOutcomes(sels []Selection, maxScore float64, outcomes []nodeOutcome) [
 			})
 		}
 	}
-	sortResults(out)
+	SortResults(out)
 	return out
 }
 
